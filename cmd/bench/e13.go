@@ -56,7 +56,7 @@ func e13() {
 	check(err)
 	srv := orb.Serve(oa, l)
 	defer srv.Stop()
-	pub, err := dcollective.Publish(oa, "field", ports, dcollective.WithEpochCache())
+	pub, err := dcollective.Publish(oa, "field", ports)
 	check(err)
 	defer pub.Close()
 
@@ -183,7 +183,7 @@ func e13Overload() {
 	check(err)
 	srv := orb.ServeWith(oa, l, orb.ServeOptions{MaxInflight: 2})
 	defer srv.Stop()
-	pub, err := dcollective.Publish(oa, "field", ports, dcollective.WithEpochCache())
+	pub, err := dcollective.Publish(oa, "field", ports)
 	check(err)
 	defer pub.Close()
 

@@ -974,8 +974,10 @@ func measureE11Stream(gl int) float64 {
 	return ns
 }
 
-// measureE11Pull times one full PullAll — plan reuse, one epoch, chunked
-// streaming, scatter — of a block(m)→cyclic(n) redistribution over TCP.
+// measureE11Pull times one full PullAll — plan reuse, one fresh epoch
+// (snapshot and pack), chunked streaming, scatter — of a block(m)→cyclic(n)
+// redistribution over TCP. The publisher Advances before every pull, so
+// each one pays for a new snapshot rather than a cache hit.
 func measureE11Pull(gl, m, n int) float64 {
 	srcMap := array.NewBlockMap(gl, m)
 	ports := make([]collective.DistArrayPort, m)
@@ -990,7 +992,7 @@ func measureE11Pull(gl, m, n int) float64 {
 	check(err)
 	srv := orb.Serve(oa, l)
 	defer srv.Stop()
-	_, err = dcollective.Publish(oa, "bench", ports)
+	pub, err := dcollective.Publish(oa, "bench", ports)
 	check(err)
 
 	dstMap := array.NewCyclicMap(gl, n, 64)
@@ -1004,6 +1006,7 @@ func measureE11Pull(gl, m, n int) float64 {
 	}
 	ctx := context.Background()
 	return measure(func() {
+		pub.Advance()
 		if err := imp.PullAllInto(ctx, outs); err != nil {
 			panic(err)
 		}

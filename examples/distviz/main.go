@@ -50,12 +50,12 @@ import (
 
 func main() {
 	var (
-		m      = flag.Int("m", 2, "simulation cohort ranks (provider)")
-		n      = flag.Int("n", 3, "viz cohort ranks (consumer)")
-		gl     = flag.Int("len", 40000, "global array length")
-		frames = flag.Int("frames", 4, "frames the viz pulls")
-		sever  = flag.Int("sever", 25, "sever viz connection after this many frames sent (0 = never)")
-		subs   = flag.Int("subs", 0, "after the viz run, fan one frozen frame out to this many concurrent supervised subscribers")
+		m        = flag.Int("m", 2, "simulation cohort ranks (provider)")
+		n        = flag.Int("n", 3, "viz cohort ranks (consumer)")
+		gl       = flag.Int("len", 40000, "global array length")
+		frames   = flag.Int("frames", 4, "frames the viz pulls")
+		sever    = flag.Int("sever", 25, "sever viz connection after this many frames sent (0 = never)")
+		subs     = flag.Int("subs", 0, "after the viz run, fan one frozen frame out to this many concurrent supervised subscribers")
 		viz      = flag.Bool("viz", false, "run as the viz child process")
 		addr     = flag.String("addr", "", "simulation address (viz mode)")
 		trName   = flag.String("transport", "tcp", "cross-process transport: tcp or shm")
@@ -99,7 +99,7 @@ func runSimOnly(trName string, m, gl int, addrFile string) {
 	}
 	srv := orb.Serve(oa, l)
 	defer srv.Close()
-	pub, err := dcoll.Publish(oa, "wave", ports, dcoll.WithEpochCache())
+	pub, err := dcoll.Publish(oa, "wave", ports)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func runSim(trName string, m, n, gl, frames, sever, subs int) {
 	// The epoch cache makes every subscriber of a timestep share one
 	// snapshot and one packed chunk stream; Advance (below, per step) is
 	// its invalidation point.
-	pub, err := dcoll.Publish(oa, "wave", ports, dcoll.WithEpochCache())
+	pub, err := dcoll.Publish(oa, "wave", ports)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/esi"
 	"repro/internal/linalg"
+	"repro/internal/orb"
 	"repro/internal/repo"
 	"repro/internal/sidl/sreflect"
 	"repro/internal/transport"
@@ -108,7 +109,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 		Flavor:    cca.FlavorInProcess | cca.FlavorDistributed,
 		TypeCheck: esi.TypeChecker(),
 	})
-	rp, err := dist.InstallRemoteOperator(remoteFw, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData)
+	rp, err := dist.InstallSupervisedRemoteOperator(remoteFw, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

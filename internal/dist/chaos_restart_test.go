@@ -129,10 +129,6 @@ func TestChaosKillMidKrylovRestoreResumes(t *testing.T) {
 	var lastCkpt []byte
 	relaunches := 0
 	opts := chaosOpts()
-	opts.Idempotent = orb.AllIdempotent
-	opts.OnState = func(st orb.ConnState, cause error) {
-		_ = clientFW.SetPortHealth("remoteSolver", "solver", HealthFor(st), cause)
-	}
 	opts.Restart = &orb.RestartPolicy{
 		Relaunch: func(attempt int) (string, error) {
 			// A genuinely fresh incarnation: new framework, new solver
@@ -154,14 +150,15 @@ func TestChaosKillMidKrylovRestoreResumes(t *testing.T) {
 			return lastCkpt
 		},
 	}
-	sup, err := orb.DialSupervised(tr, srv.addr, opts)
+	rp, err := DialSupervised(tr, srv.addr, iterKey, esi.TypeIterativeSolver,
+		BridgeHealth(clientFW, "remoteSolver", "solver", opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Close()
+	defer rp.Close()
+	sup := rp.Client
 	if err := clientFW.Install("remoteSolver", &ProxyComponent{
-		PortName: "solver", PortType: esi.TypeIterativeSolver,
-		Port: &RemotePort{Client: sup, Key: iterKey, Type: esi.TypeIterativeSolver},
+		PortName: "solver", PortType: esi.TypeIterativeSolver, Port: rp,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package collective
 
-// Tests for the epoch-cache serving tier (Publish ... WithEpochCache):
-// plan dedup across subscribers, epoch stability until Advance, the
-// frame-cache hit rate asserted through the obs counters, stale-plan
-// recovery after LRU eviction, and the chaos case of one subscriber
-// severed mid-broadcast while others keep pulling.
+// Tests for the epoch-cache serving tier: plan dedup across subscribers,
+// epoch stability until Advance, the frame-cache hit rate asserted through
+// the obs counters, stale-plan recovery after LRU eviction, and the chaos
+// case of one subscriber severed mid-broadcast while others keep pulling.
 
 import (
 	"context"
@@ -14,28 +13,10 @@ import (
 	"time"
 
 	"repro/internal/array"
-	ccoll "repro/internal/cca/collective"
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/transport"
 )
-
-// serveCached is serve with the epoch cache turned on.
-func serveCached(t *testing.T, tr transport.Transport, addr, name string, ports []ccoll.DistArrayPort) (*orb.Server, *Publisher) {
-	t.Helper()
-	oa := orb.NewObjectAdapter()
-	l, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := orb.Serve(oa, l)
-	pub, err := Publish(oa, name, ports, WithEpochCache())
-	if err != nil {
-		srv.Stop()
-		t.Fatal(err)
-	}
-	return srv, pub
-}
 
 func counters() map[string]uint64 { return obs.Default.Snapshot().Counters }
 
@@ -47,7 +28,7 @@ var errDataCorrupt = errors.New("pulled data corrupted")
 func TestCachePlanDedup(t *testing.T) {
 	const gl = 100
 	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-dedup", "wave", cohort(array.NewBlockMap(gl, 2), make([]float64, gl)))
+	srv, pub := serve(t, tr, "cache-dedup", "wave", cohort(array.NewBlockMap(gl, 2), make([]float64, gl)))
 	defer srv.Stop()
 	defer pub.Close()
 
@@ -91,7 +72,7 @@ func TestCacheEpochStableUntilAdvance(t *testing.T) {
 	m := array.NewBlockMap(gl, 2)
 	ports := cohort(m, global)
 	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-epoch", "wave", ports)
+	srv, pub := serve(t, tr, "cache-epoch", "wave", ports)
 	defer srv.Stop()
 	defer pub.Close()
 
@@ -143,6 +124,61 @@ func TestCacheEpochStableUntilAdvance(t *testing.T) {
 	}
 }
 
+// TestSupersededEpochServesFromSnapshot pins what a pull still in flight
+// across an Advance sees: the next generation's snapshot releases the old
+// epoch's frame cache, yet chunk calls on the old epoch keep returning its
+// own data, never the newer generation's.
+func TestSupersededEpochServesFromSnapshot(t *testing.T) {
+	const gl = 16
+	global := make([]float64, gl)
+	for i := range global {
+		global[i] = float64(i)
+	}
+	ports := cohort(array.NewBlockMap(gl, 1), global)
+	tr := &transport.InProc{}
+	srv, pub := serve(t, tr, "cache-superseded", "wave", ports)
+	defer srv.Stop()
+	defer pub.Close()
+	c := rawClient(t, tr, "cache-superseded")
+	defer c.Close()
+	key := Key("wave")
+	res, err := c.Invoke(key, "exchange", int32(gl), []int32{0, gl, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planID := res[0].(int64)
+	begin := func() int64 {
+		t.Helper()
+		res, err := c.Invoke(key, "begin", planID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].(int64)
+	}
+	elem3 := func(epoch int64) float64 {
+		t.Helper()
+		res, err := c.Invoke(key, "chunk", planID, epoch, int32(0), int32(0), int32(0), int32(gl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].([]float64)[3]
+	}
+
+	old := begin()
+	if got := elem3(old); got != 3 { // packs and caches the frame
+		t.Fatalf("first generation elem 3 = %v", got)
+	}
+	ports[0].(*memPort).data[3] = 99
+	pub.Advance()
+	fresh := begin()
+	if got := elem3(old); got != 3 {
+		t.Fatalf("superseded epoch elem 3 = %v, want its own 3", got)
+	}
+	if got := elem3(fresh); got != 99 {
+		t.Fatalf("fresh epoch elem 3 = %v, want 99", got)
+	}
+}
+
 // TestCacheFrameHitRate repeats pulls under one frozen generation and
 // asserts the steady-state frame-cache hit rate the serving tier is built
 // around: every subscriber after the first pack is served from cache.
@@ -153,7 +189,7 @@ func TestCacheFrameHitRate(t *testing.T) {
 		global[i] = float64(i) * 0.25
 	}
 	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-rate", "wave", cohort(array.NewBlockMap(gl, 2), global))
+	srv, pub := serve(t, tr, "cache-rate", "wave", cohort(array.NewBlockMap(gl, 2), global))
 	defer srv.Stop()
 	defer pub.Close()
 
@@ -198,7 +234,7 @@ func TestCacheStalePlanAfterEviction(t *testing.T) {
 		global[i] = float64(i) + 0.5
 	}
 	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-evict", "wave", cohort(array.NewBlockMap(gl, 2), global))
+	srv, pub := serve(t, tr, "cache-evict", "wave", cohort(array.NewBlockMap(gl, 2), global))
 	defer srv.Stop()
 	defer pub.Close()
 
@@ -243,7 +279,7 @@ func TestCacheSeveredSubscriberDoesNotStallOthers(t *testing.T) {
 		global[i] = float64(i) * 0.5
 	}
 	inner := transport.TCP{}
-	srv, pub := serveCached(t, inner, "127.0.0.1:0", "wave", cohort(array.NewBlockMap(gl, 2), global))
+	srv, pub := serve(t, inner, "127.0.0.1:0", "wave", cohort(array.NewBlockMap(gl, 2), global))
 	defer srv.Stop()
 	defer pub.Close()
 	addr := srv.Addr()

@@ -22,12 +22,12 @@
 // arithmetic both sides agree on, so no index metadata ever crosses the
 // wire with the data.
 //
-// Each Pull opens an epoch ("begin" snapshots the provider cohort's
-// chunks, so a mid-step simulation can't tear a frame), streams the
-// intersecting runs as chunked bulk frames — packed straight into the
-// reply encoder's payload span on the provider, scattered straight out of
-// the raw reply frame on the consumer, one user-space copy per side — and
-// closes the epoch with a oneway "end". Chunks default to
+// Each Pull opens an epoch ("begin" returns the provider cohort's snapshot
+// for the current generation, so a mid-step simulation can't tear a frame)
+// and streams the intersecting runs as chunked bulk frames — packed once
+// into a shared buffer on the provider, scattered straight out of the raw
+// reply frame on the consumer, one user-space copy per side. Chunks
+// default to
 // 16·transport.CoalesceCutoff bytes so every chunk frame rides the
 // zero-copy writev path, and a credit window (default
 // transport.MaxFlushWindow·transport.CoalesceCutoff bytes) bounds the
@@ -38,9 +38,9 @@
 //
 // The consumer's connection is an orb.Supervised client with every
 // protocol method marked idempotent: a severed connection mid-pull
-// surfaces as ConnectionDegraded (via Options.Supervisor.OnState, which
-// InstallRemoteDistArray bridges to framework health events exactly like
-// scalar remote ports), redials with backoff, and the interrupted chunk
+// surfaces as ConnectionDegraded (InstallRemoteDistArray bridges it to
+// framework health events through dist.BridgeHealth, exactly like scalar
+// remote ports), redials with backoff, and the interrupted chunk
 // call retries on the healed connection. Provider-side state is
 // soft: plans and epochs are bounded LRU caches, and a consumer that
 // finds its plan or epoch evicted (or the provider restarted) gets a
@@ -49,19 +49,17 @@
 //
 // # Serving many subscribers
 //
-// By default every begin snapshots afresh, so each consumer observes the
-// provider's latest data — right for a handful of attached tools.
-// Publishing WithEpochCache turns the provider into a high-fan-out
-// serving tier: the publisher owns an explicit generation (Advance opens
-// the next one), all subscribers of a generation share one snapshot, the
-// same consumer distribution deduplicates onto one plan, and each chunk
-// window is packed once into a ref-counted transport.SharedBuf that is
-// spliced zero-copy into every subscriber's reply. N subscribers then
-// cost one pack plus N writev references instead of N packs and copies.
-// Epoch lifetime is governed by generation turnover and the LRU ("end"
-// is a no-op in cache mode); eviction still surfaces as the stale
-// sentinels above. DESIGN.md §11 documents the tier; experiment E13
-// prices it at 1000 standing supervised subscribers.
+// The publisher owns an explicit generation: all subscribers of a
+// generation share one snapshot, the same consumer distribution
+// deduplicates onto one plan, and each chunk window is packed once into a
+// ref-counted transport.SharedBuf that is spliced zero-copy into every
+// subscriber's reply. N subscribers then cost one pack plus N writev
+// references instead of N packs and copies. The provider must call
+// Publisher.Advance after mutating the published arrays; until it does,
+// pulls observe the previous generation's snapshot. Epoch lifetime is
+// governed by generation turnover and the LRU; eviction still surfaces as
+// the stale sentinels above. DESIGN.md §11 documents the tier; experiment
+// E13 prices it at 1000 standing supervised subscribers.
 //
 // Experiment E11 (cmd/bench, EXPERIMENTS.md) measures the chunked path
 // against a single-memcpy lower bound; the examples/distviz demo runs the
@@ -119,10 +117,10 @@ var (
 	hExchangeNs    = obs.NewHistogram("collective.plan_exchange_ns")
 	hPullNs        = obs.NewHistogram("collective.pull_ns")
 
-	// Serving-tier cache instruments (WithEpochCache publishers): plan
-	// dedup hits on exchange, epoch reuse on begin, and packed-frame
-	// reuse on chunk. The frame hit rate is the fan-out amortization
-	// number — E13 asserts it exceeds 90% at steady state.
+	// Serving-tier cache instruments: plan dedup hits on exchange, epoch
+	// reuse on begin, and packed-frame reuse on chunk. The frame hit rate
+	// is the fan-out amortization number — E13 asserts it exceeds 90% at
+	// steady state.
 	cPlanCacheHits    = obs.NewCounter("collective.plan_cache_hits")
 	cEpochCacheHits   = obs.NewCounter("collective.epoch_cache_hits")
 	cEpochCacheMisses = obs.NewCounter("collective.epoch_cache_misses")

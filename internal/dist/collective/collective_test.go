@@ -169,8 +169,8 @@ func TestRedistributionOverTCP(t *testing.T) {
 }
 
 func TestPullSeesFreshData(t *testing.T) {
-	// Each pull opens a fresh epoch: mutations to the provider's storage
-	// between pulls must be visible.
+	// A pull after Advance opens a fresh epoch: mutations to the
+	// provider's storage before the Advance must be visible.
 	const gl = 32
 	global := make([]float64, gl)
 	src := array.NewBlockMap(gl, 2)
@@ -197,6 +197,7 @@ func TestPullSeesFreshData(t *testing.T) {
 			mp.data[i] = 9.5
 		}
 	}
+	pub.Advance()
 	if err := imp.Pull(0, out); err != nil {
 		t.Fatal(err)
 	}
@@ -402,6 +403,7 @@ func TestSnapshotPortServesAndValidates(t *testing.T) {
 
 	// A short snapshot must be rejected the same way short LocalData is.
 	ports[1].(*snapPort).data = ports[1].(*snapPort).data[:3]
+	pub.Advance()
 	out := make([]float64, dst.LocalLen(0))
 	if err := imp.Pull(0, out); err == nil || !strings.Contains(err.Error(), "holds") {
 		t.Fatalf("pull over short snapshot: %v", err)
@@ -496,6 +498,7 @@ func TestEpochEviction(t *testing.T) {
 	planID := res[0].(int64)
 	var epochs []int64
 	for i := 0; i < maxEpochsPerPlan+2; i++ {
+		pub.Advance()
 		res, err := c.Invoke(key, "begin", planID)
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	ccoll "repro/internal/cca/collective"
 	"repro/internal/cca/framework"
 	"repro/internal/dist"
-	"repro/internal/orb"
 	"repro/internal/transport"
 )
 
@@ -19,17 +18,11 @@ import (
 // ports.
 //
 // Supervision state changes are bridged to framework health events on the
-// proxy's port, so a severed provider surfaces as ConnectionDegraded /
-// ConnectionBroken / ConnectionRestored exactly like a scalar remote port.
+// proxy's port (dist.BridgeHealth), so a severed provider surfaces as
+// ConnectionDegraded / ConnectionBroken / ConnectionRestored exactly like a
+// scalar remote port; opts.Supervisor.OnState, if set, runs afterwards.
 func InstallRemoteDistArray(fw *framework.Framework, instance string, tr transport.Transport, addr, name string, consumer array.DataMap, opts Options) (*Import, error) {
-	// The supervisor may fire before Install completes (initial dial
-	// retries); SetPortHealth on a not-yet-installed component is a
-	// harmless error.
-	if opts.Supervisor.OnState == nil {
-		opts.Supervisor.OnState = func(s orb.ConnState, cause error) {
-			_ = fw.SetPortHealth(instance, "data", dist.HealthFor(s), cause)
-		}
-	}
+	opts.Supervisor = dist.BridgeHealth(fw, instance, "data", opts.Supervisor)
 	imp, err := Attach(tr, addr, name, consumer, opts)
 	if err != nil {
 		return nil, err

@@ -26,12 +26,12 @@ type frameKey struct {
 	src, dst, lo, count int32
 }
 
-// provEpoch is one epoch's snapshot plus (in epoch-cache mode) its packed
-// frame cache. snap is immutable once published; frames is guarded by mu
-// because concurrent subscribers populate it while others read.
+// provEpoch is one epoch's snapshot plus its packed frame cache. snap is
+// immutable once published; frames is guarded by mu because concurrent
+// subscribers populate it while others read.
 type provEpoch struct {
 	snap [][]float64
-	gen  int64 // publisher generation at snapshot time (0 in legacy mode)
+	gen  int64 // publisher generation at snapshot time
 
 	mu     sync.Mutex
 	frames map[frameKey]*transport.SharedBuf
@@ -49,12 +49,12 @@ func (e *provEpoch) releaseFrames() {
 }
 
 // provPlan is one exchanged redistribution plan plus its live epoch
-// snapshots. In epoch-cache mode the plan is shared by every consumer
-// whose distribution digests identically (key), so one epoch serves the
-// whole subscriber fleet.
+// snapshots. The plan is shared by every consumer whose distribution
+// digests identically (key), so one epoch serves the whole subscriber
+// fleet.
 type provPlan struct {
 	plan *ccoll.Plan
-	key  string // dedup digest; "" in legacy mode
+	key  string // dedup digest
 
 	nextEpoch int64
 	// epochs holds snapshots keyed by epoch ID; epochOrder is LRU, oldest
@@ -69,29 +69,7 @@ type provPlan struct {
 // is cohort rank i — mirroring how an SPMD component's port is logically
 // one port exposed by every rank (§6.3).
 //
-// All servant methods are driven by remote consumers; Publisher itself is
-// safe for concurrent dispatch.
-type Publisher struct {
-	name  string
-	oa    *orb.ObjectAdapter
-	ports []ccoll.DistArrayPort
-	side  ccoll.Side // provider side rebased to world ranks 0..M−1
-	wire  []int32    // side's canonical runs, wire form
-	cache bool       // WithEpochCache: dedup plans, share epochs, cache frames
-
-	mu        sync.Mutex
-	closed    bool
-	gen       int64 // epoch-cache generation; Advance bumps it
-	nextPlan  int64
-	plans     map[int64]*provPlan
-	planKeys  map[string]int64 // digest → plan ID (epoch-cache mode)
-	planOrder []int64          // LRU, oldest first
-}
-
-// PublishOption configures a Publisher.
-type PublishOption func(*Publisher)
-
-// WithEpochCache turns on the high-fan-out serving tier:
+// A Publisher is a high-fan-out serving tier:
 //
 //   - plan dedup: consumers presenting the same distribution share one
 //     plan ID, so a thousand identical subscribers cost one plan;
@@ -102,17 +80,35 @@ type PublishOption func(*Publisher)
 //     reference-counted buffer and spliced zero-copy into every
 //     subscriber's reply.
 //
-// The publisher must call Advance after mutating the underlying arrays;
-// between Advances, pulls observe the cached snapshot. Without this
-// option every begin snapshots fresh state (one-consumer-one-epoch
-// legacy semantics) and Advance is a no-op.
-func WithEpochCache() PublishOption {
-	return func(p *Publisher) {
-		p.cache = true
-		p.gen = 1
-		p.planKeys = make(map[string]int64)
-	}
+// The owner must call Advance after mutating the published arrays;
+// between Advances, pulls observe the cached snapshot.
+//
+// All servant methods are driven by remote consumers; Publisher itself is
+// safe for concurrent dispatch.
+type Publisher struct {
+	name  string
+	oa    *orb.ObjectAdapter
+	ports []ccoll.DistArrayPort
+	side  ccoll.Side // provider side rebased to world ranks 0..M−1
+	wire  []int32    // side's canonical runs, wire form
+
+	mu        sync.Mutex
+	closed    bool
+	gen       int64 // snapshot generation; Advance bumps it
+	nextPlan  int64
+	plans     map[int64]*provPlan
+	planKeys  map[string]int64 // digest → plan ID
+	planOrder []int64          // LRU, oldest first
 }
+
+// PublishOption configures a Publisher.
+type PublishOption func(*Publisher)
+
+// WithEpochCache is a no-op: every Publisher serves through the epoch
+// cache.
+//
+// Deprecated: omit it.
+func WithEpochCache() PublishOption { return func(*Publisher) {} }
 
 // Publish validates the cohort and registers it on oa under Key(name).
 // Every port must describe the same distribution (same map, ports[i]
@@ -139,12 +135,13 @@ func Publish(oa *orb.ObjectAdapter, name string, ports []ccoll.DistArrayPort, op
 		}
 	}
 	p := &Publisher{
-		name:  name,
-		oa:    oa,
-		ports: ports,
-		side:  sideOf(m, 0),
-		wire:  wire,
-		plans: make(map[int64]*provPlan),
+		name:     name,
+		oa:       oa,
+		ports:    ports,
+		side:     sideOf(m, 0),
+		wire:     wire,
+		plans:    make(map[int64]*provPlan),
+		planKeys: make(map[string]int64),
 	}
 	for _, o := range opts {
 		o(p)
@@ -171,13 +168,10 @@ func (p *Publisher) Ranks() int { return len(p.ports) }
 // Advance declares the published arrays mutated: the next begin on any
 // plan snapshots fresh data instead of serving the live cached epoch.
 // Call it once per timestep (after the mutation), not per subscriber —
-// it is the epoch cache's only invalidation point. No-op without
-// WithEpochCache.
+// it is the publisher's only freshness rule.
 func (p *Publisher) Advance() {
 	p.mu.Lock()
-	if p.cache {
-		p.gen++
-	}
+	p.gen++
 	p.mu.Unlock()
 }
 
@@ -203,7 +197,7 @@ func (p *Publisher) Close() {
 }
 
 // handle is the dynamic servant: the DSI-style dispatch target for every
-// protocol method on Key(name). reply is nil only for the oneway "end".
+// protocol method on Key(name).
 func (p *Publisher) handle(method string, args []any, reply *orb.Encoder) error {
 	switch method {
 	case "describe":
@@ -214,8 +208,6 @@ func (p *Publisher) handle(method string, args []any, reply *orb.Encoder) error 
 		return p.begin(args, reply)
 	case "chunk":
 		return p.chunk(args, reply)
-	case "end":
-		return p.end(args)
 	default:
 		return fmt.Errorf("collective: %q has no method %q", p.name, method)
 	}
@@ -250,9 +242,9 @@ func planDigest(n int32, flat []int32) string {
 // The consumer sends its distribution; the provider validates it, builds
 // the M→N plan (provider world ranks 0..M−1, consumer M..M+N−1), caches it
 // under a fresh ID, and answers with its own distribution so the consumer
-// can build the byte-identical plan locally. In epoch-cache mode an
-// identical distribution resolves to the already-cached plan, so a fleet
-// of uniform subscribers shares one plan and one epoch stream.
+// can build the byte-identical plan locally. An identical distribution
+// resolves to the already-cached plan, so a fleet of uniform subscribers
+// shares one plan and one epoch stream.
 func (p *Publisher) exchange(args []any, reply *orb.Encoder) error {
 	if len(args) != 2 {
 		return fmt.Errorf("collective: exchange wants (globalLen, runs), got %d args", len(args))
@@ -270,22 +262,14 @@ func (p *Publisher) exchange(args []any, reply *orb.Encoder) error {
 		reply.Encode(int32(p.side.Map.GlobalLen())) //nolint:errcheck
 		reply.Encode(p.wire)                        //nolint:errcheck
 	}
-	var digest string
-	if p.cache {
-		digest = planDigest(n, flat)
-		p.mu.Lock()
-		if !p.closed {
-			if id, ok := p.planKeys[digest]; ok {
-				if _, err := p.lookupPlan(id); err == nil {
-					cPlanCacheHits.Inc()
-					answer(id)
-					p.mu.Unlock()
-					return nil
-				}
-			}
-		}
+	digest := planDigest(n, flat)
+	p.mu.Lock()
+	if id, ok := p.cachedPlan(digest); ok {
+		answer(id)
 		p.mu.Unlock()
+		return nil
 	}
+	p.mu.Unlock()
 	cm, err := decodeRuns(int(n), flat)
 	if err != nil {
 		return err
@@ -299,23 +283,16 @@ func (p *Publisher) exchange(args []any, reply *orb.Encoder) error {
 	if p.closed {
 		return fmt.Errorf("%s: publisher %q closed", stalePlanMsg, p.name)
 	}
-	if p.cache {
-		// Re-check under the lock: a concurrent exchange of the same
-		// distribution may have won the build race.
-		if id, ok := p.planKeys[digest]; ok {
-			if _, err := p.lookupPlan(id); err == nil {
-				cPlanCacheHits.Inc()
-				answer(id)
-				return nil
-			}
-		}
+	// Re-check under the lock: a concurrent exchange of the same
+	// distribution may have won the build race.
+	if id, ok := p.cachedPlan(digest); ok {
+		answer(id)
+		return nil
 	}
 	p.nextPlan++
 	id := p.nextPlan
 	p.plans[id] = &provPlan{plan: plan, key: digest, epochs: make(map[int64]*provEpoch)}
-	if p.cache {
-		p.planKeys[digest] = id
-	}
+	p.planKeys[digest] = id
 	p.planOrder = append(p.planOrder, id)
 	for len(p.planOrder) > maxPlans {
 		evict := p.planOrder[0]
@@ -324,7 +301,7 @@ func (p *Publisher) exchange(args []any, reply *orb.Encoder) error {
 			for _, ep := range pp.epochs {
 				ep.releaseFrames()
 			}
-			if pp.key != "" && p.planKeys[pp.key] == evict {
+			if p.planKeys[pp.key] == evict {
 				delete(p.planKeys, pp.key)
 			}
 		}
@@ -332,6 +309,20 @@ func (p *Publisher) exchange(args []any, reply *orb.Encoder) error {
 	}
 	answer(id)
 	return nil
+}
+
+// cachedPlan returns the live plan ID digest names, marking it
+// most-recently-used and counting the dedup hit. Caller holds p.mu.
+func (p *Publisher) cachedPlan(digest string) (int64, bool) {
+	id, ok := p.planKeys[digest]
+	if !ok {
+		return 0, false
+	}
+	if _, err := p.lookupPlan(id); err != nil {
+		return 0, false
+	}
+	cPlanCacheHits.Inc()
+	return id, true
 }
 
 // lookupPlan fetches a live plan and marks it most-recently-used.
@@ -351,10 +342,9 @@ func (p *Publisher) lookupPlan(id int64) (*provPlan, error) {
 
 // begin(int64 planID) → (int64 epoch). Snapshots every provider rank's
 // chunk the plan reads, so one pull observes a single consistent timestep
-// even while the simulation keeps mutating its arrays. In epoch-cache
-// mode, a live epoch of the current generation is returned as-is: the
-// snapshot (and its packed frames) amortizes over every subscriber until
-// the publisher Advances.
+// even while the simulation keeps mutating its arrays. A live epoch of
+// the current generation is returned as-is: the snapshot (and its packed
+// frames) amortizes over every subscriber until the publisher Advances.
 func (p *Publisher) begin(args []any, reply *orb.Encoder) error {
 	if len(args) != 1 {
 		return fmt.Errorf("collective: begin wants (planID), got %d args", len(args))
@@ -369,17 +359,15 @@ func (p *Publisher) begin(args []any, reply *orb.Encoder) error {
 	if err != nil {
 		return err
 	}
-	if p.cache {
-		for i := len(pp.epochOrder) - 1; i >= 0; i-- {
-			ep := pp.epochOrder[i]
-			if e := pp.epochs[ep]; e != nil && e.gen == p.gen {
-				cEpochCacheHits.Inc()
-				reply.Encode(ep) //nolint:errcheck
-				return nil
-			}
+	for i := len(pp.epochOrder) - 1; i >= 0; i-- {
+		ep := pp.epochOrder[i]
+		if e := pp.epochs[ep]; e != nil && e.gen == p.gen {
+			cEpochCacheHits.Inc()
+			reply.Encode(ep) //nolint:errcheck
+			return nil
 		}
-		cEpochCacheMisses.Inc()
 	}
+	cEpochCacheMisses.Inc()
 	snap := make([][]float64, len(p.ports))
 	for r := range p.ports {
 		want := pp.plan.SrcLocalLen(r)
@@ -401,14 +389,16 @@ func (p *Publisher) begin(args []any, reply *orb.Encoder) error {
 		}
 		snap[r] = data[:want]
 	}
+	// No new subscriber reads a superseded generation's frames; pulls
+	// still in flight on it re-pack from its snapshot. Returning the
+	// frames to the pool now keeps one generation's worth live instead of
+	// maxEpochsPerPlan.
+	for _, old := range pp.epochs {
+		old.releaseFrames()
+	}
 	pp.nextEpoch++
 	ep := pp.nextEpoch
-	e := &provEpoch{snap: snap}
-	if p.cache {
-		e.gen = p.gen
-		e.frames = make(map[frameKey]*transport.SharedBuf)
-	}
-	pp.epochs[ep] = e
+	pp.epochs[ep] = &provEpoch{snap: snap, gen: p.gen, frames: make(map[frameKey]*transport.SharedBuf)}
 	pp.epochOrder = append(pp.epochOrder, ep)
 	for len(pp.epochOrder) > maxEpochsPerPlan {
 		evict := pp.epochOrder[0]
@@ -426,13 +416,10 @@ func (p *Publisher) begin(args []any, reply *orb.Encoder) error {
 // int32 count) → []float64.
 //
 // Serves elements [lo, lo+count) of the (src → dst) pair's packed stream
-// from the epoch snapshot. In legacy mode the payload is packed directly
-// into the reply encoder's grown span (Float64SliceSpan + PackRangeBytes),
-// so serving a chunk is exactly one pass over the data. In epoch-cache
-// mode the window is packed once into a reference-counted shared buffer
-// and spliced into every subscriber's reply zero-copy: N subscribers cost
-// one pack and N writev references, which is what makes publisher CPU
-// sublinear in subscriber count.
+// from the epoch snapshot. The window is packed once into a
+// reference-counted shared buffer and spliced into every subscriber's
+// reply zero-copy: N subscribers cost one pack and N writev references,
+// which is what makes publisher CPU sublinear in subscriber count.
 func (p *Publisher) chunk(args []any, reply *orb.Encoder) error {
 	if len(args) != 6 {
 		return fmt.Errorf("collective: chunk wants (planID, epoch, src, dst, lo, count), got %d args", len(args))
@@ -473,15 +460,8 @@ func (p *Publisher) chunk(args []any, reply *orb.Encoder) error {
 	if lo < 0 || count < 0 || int(lo)+int(count) > pair.Total() {
 		return fmt.Errorf("collective: chunk [%d,%d) of %d-element stream", lo, int(lo)+int(count), pair.Total())
 	}
-	if p.cache {
-		if err := p.chunkShared(epoch, pair, frameKey{src: src, dst: dst, lo: lo, count: count}, reply); err != nil {
-			return err
-		}
-	} else {
-		span := reply.Float64SliceSpan(int(count))
-		if err := pair.PackRangeBytes(epoch.snap[src], int(lo), int(lo)+int(count), span); err != nil {
-			return err
-		}
+	if err := p.chunkShared(epoch, pair, frameKey{src: src, dst: dst, lo: lo, count: count}, reply); err != nil {
+		return err
 	}
 	cChunksServed.Inc()
 	cBytesServed.Add(uint64(8 * int(count)))
@@ -528,38 +508,4 @@ func (p *Publisher) chunkShared(epoch *provEpoch, pair ccoll.PairStream, k frame
 		buf.Release()
 	}
 	return err
-}
-
-// end(int64 planID, int64 epoch) — oneway. In legacy mode it releases the
-// per-consumer epoch snapshot promptly; a lost "end" is harmless because
-// epochs are LRU-evicted. In epoch-cache mode the epoch is shared by
-// every subscriber, so end is a no-op and generation turnover (Advance)
-// plus the LRU governs epoch lifetime.
-func (p *Publisher) end(args []any) error {
-	if len(args) != 2 {
-		return fmt.Errorf("collective: end wants (planID, epoch), got %d args", len(args))
-	}
-	id, ok0 := args[0].(int64)
-	ep, ok1 := args[1].(int64)
-	if !ok0 || !ok1 {
-		return fmt.Errorf("collective: end argument types %T,%T", args[0], args[1])
-	}
-	if p.cache {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pp := p.plans[id]; pp != nil {
-		if e, live := pp.epochs[ep]; live && e != nil {
-			e.releaseFrames()
-			delete(pp.epochs, ep)
-			for i, v := range pp.epochOrder {
-				if v == ep {
-					pp.epochOrder = append(pp.epochOrder[:i], pp.epochOrder[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	return nil
 }

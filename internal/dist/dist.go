@@ -115,37 +115,13 @@ func (p *probeComponent) SetServices(svc cca.Services) error {
 	return svc.RegisterUsesPort(cca.PortInfo{Name: "target", Type: p.portType})
 }
 
-// Caller is the ORB client surface a RemotePort forwards through. Both the
-// bare *orb.Client and the supervised *orb.Supervised satisfy it, so every
-// typed adapter works identically over an unsupervised or a self-healing
-// connection.
-type Caller interface {
-	Invoke(key, method string, args ...any) ([]any, error)
-	InvokeOneway(key, method string, args ...any) error
-	Close() error
-}
-
-var (
-	_ Caller = (*orb.Client)(nil)
-	_ Caller = (*orb.Supervised)(nil)
-)
-
 // RemotePort is a generic dynamic proxy for an exported port: Call forwards
-// a method by SIDL name through the ORB. Typed adapters (RemoteOperator,
-// RemoteMatrixData) wrap it with compile-time interfaces.
+// a method by SIDL name through a supervised ORB connection. Typed adapters
+// (RemoteOperator, RemoteMatrixData) wrap it with compile-time interfaces.
 type RemotePort struct {
-	Client Caller
+	Client *orb.Supervised
 	Key    string
 	Type   string
-}
-
-// Dial connects to an exporter and binds an exported key.
-func Dial(tr transport.Transport, addr, key, portType string) (*RemotePort, error) {
-	c, err := orb.DialClient(tr, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &RemotePort{Client: c, Key: key, Type: portType}, nil
 }
 
 // DialSupervised connects to an exporter under supervision: the connection
@@ -285,38 +261,9 @@ func (p *ProxyComponent) SetServices(svc cca.Services) error {
 // RequiredFlavor declares the distributed compliance requirement.
 func (p *ProxyComponent) RequiredFlavor() cca.Flavor { return cca.FlavorDistributed }
 
-// InstallRemoteOperator dials an exported esi.Operator/esi.MatrixData port
-// and installs a proxy component named instance providing it locally as
-// port "A".
-func InstallRemoteOperator(fw *framework.Framework, instance string, tr transport.Transport, addr, key, portType string) (*RemotePort, error) {
-	rp, err := Dial(tr, addr, key, portType)
-	if err != nil {
-		return nil, err
-	}
-	var port cca.Port
-	switch portType {
-	case esi.TypeMatrixData:
-		port = &RemoteMatrixData{RemoteOperator{R: rp}}
-	case esi.TypeOperator:
-		port = &RemoteOperator{R: rp}
-	default:
-		rp.Close()
-		return nil, fmt.Errorf("%w: no typed adapter for %q", ErrDist, portType)
-	}
-	if err := fw.Install(instance, &ProxyComponent{PortName: "A", PortType: portType, Port: port}); err != nil {
-		rp.Close()
-		return nil, err
-	}
-	cRemoteInstalls.Inc()
-	return rp, nil
-}
-
-// HealthFor maps supervised connection states onto the configuration API's
-// connection health values. Remote-port installers — both the scalar ones
-// here and the collective one in repro/internal/dist/collective — use it to
-// bridge orb.SupervisorOptions.OnState transitions to framework health
-// events, so every remote flavor reports link health identically.
-func HealthFor(s orb.ConnState) cca.Health {
+// healthFor maps supervised connection states onto the configuration API's
+// connection health values.
+func healthFor(s orb.ConnState) cca.Health {
 	switch s {
 	case orb.StateDegraded:
 		return cca.HealthDegraded
@@ -327,26 +274,33 @@ func HealthFor(s orb.ConnState) cca.Health {
 	}
 }
 
-// InstallSupervisedRemoteOperator is InstallRemoteOperator over a
-// supervised connection: the proxy component's provides port redials,
-// retries, and circuit-breaks per opts, and every supervision state change
-// is surfaced through the framework's event mechanism as a
-// ConnectionDegraded / ConnectionBroken / ConnectionRestored event on the
-// proxy's port — so builders and tools observe remote-link health through
-// the same configuration API they already use (§5).
-func InstallSupervisedRemoteOperator(fw *framework.Framework, instance string, tr transport.Transport, addr, key, portType string, opts orb.SupervisorOptions) (*RemotePort, error) {
-	// Bridge supervision transitions to framework health events. The
-	// supervisor may fire before Install completes (initial dial retries);
-	// SetPortHealth on a not-yet-installed component is a harmless error.
-	if opts.OnState == nil {
-		opts.OnState = func(s orb.ConnState, cause error) {
-			_ = fw.SetPortHealth(instance, "A", HealthFor(s), cause)
+// BridgeHealth returns opts with every supervision state change reported as
+// framework health on component's port — a ConnectionDegraded /
+// ConnectionBroken / ConnectionRestored event — before opts' own OnState
+// (if any) runs. Every remote-port installer, scalar or collective, dials
+// through it, so builders and tools observe remote-link health through the
+// same configuration API they already use (§5). The supervisor may fire
+// before the proxy component is installed (initial dial retries);
+// SetPortHealth on a not-yet-installed component is a harmless error.
+func BridgeHealth(fw *framework.Framework, component, port string, opts orb.SupervisorOptions) orb.SupervisorOptions {
+	user := opts.OnState
+	opts.OnState = func(s orb.ConnState, cause error) {
+		_ = fw.SetPortHealth(component, port, healthFor(s), cause)
+		if user != nil {
+			user(s, cause)
 		}
 	}
-	rp, err := DialSupervised(tr, addr, key, portType, opts)
-	if err != nil {
-		return nil, err
-	}
+	return opts
+}
+
+// InstallSupervisedRemoteOperator dials an exported esi.Operator or
+// esi.MatrixData port under supervision and installs a proxy component
+// named instance providing it locally as port "A". The proxy's port
+// redials, retries, and circuit-breaks per opts, and its health is bridged
+// to framework events (BridgeHealth). An unsupported portType is rejected
+// before dialing.
+func InstallSupervisedRemoteOperator(fw *framework.Framework, instance string, tr transport.Transport, addr, key, portType string, opts orb.SupervisorOptions) (*RemotePort, error) {
+	rp := new(RemotePort)
 	var port cca.Port
 	switch portType {
 	case esi.TypeMatrixData:
@@ -354,9 +308,13 @@ func InstallSupervisedRemoteOperator(fw *framework.Framework, instance string, t
 	case esi.TypeOperator:
 		port = &RemoteOperator{R: rp}
 	default:
-		rp.Close()
 		return nil, fmt.Errorf("%w: no typed adapter for %q", ErrDist, portType)
 	}
+	dialed, err := DialSupervised(tr, addr, key, portType, BridgeHealth(fw, instance, "A", opts))
+	if err != nil {
+		return nil, err
+	}
+	*rp = *dialed
 	if err := fw.Install(instance, &ProxyComponent{PortName: "A", PortType: portType, Port: port}); err != nil {
 		rp.Close()
 		return nil, err

@@ -15,8 +15,9 @@
 // CDR-encodable arguments); for the ESI interfaces, typed adapters are
 // provided so solver components work unmodified against remote operators.
 //
-// Remote connections are supervised (DESIGN.md §8): the installers bridge
-// orb.Supervised state transitions to framework port health, so severed
+// Remote connections are supervised (DESIGN.md §8): every installer dials
+// through BridgeHealth, which reports orb.Supervised state transitions as
+// framework port health before any caller-supplied OnState runs, so severed
 // links surface as ConnectionDegraded/Broken/Restored events. Experiment
 // E7b prices the supervision overhead and the chaos suite
 // (chaos_test.go, heavier scenarios under -tags chaos) proves

@@ -11,13 +11,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
 // registerScaler registers a dynamic servant under key that answers:
 //
-//	scale(factor float64, n int32) -> []float64 of n elements i·factor,
-//	  packed through Float64SliceSpan;
+//	scale(factor float64, n int32) -> []float64 of n elements i·factor;
 //	fail(msg string) -> error after encoding a partial result;
 //	note(v int32) oneway -> recorded on ch.
 func registerScaler(oa *ObjectAdapter, key string, ch chan int32) {
@@ -26,11 +26,11 @@ func registerScaler(oa *ObjectAdapter, key string, ch chan int32) {
 		case "scale":
 			f := args[0].(float64)
 			n := int(args[1].(int32))
-			span := reply.Float64SliceSpan(n)
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(span[8*i:], math.Float64bits(f*float64(i)))
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = f * float64(i)
 			}
-			return nil
+			return reply.Encode(out)
 		case "fail":
 			reply.Encode(int32(42)) //nolint:errcheck // partial result, must be discarded
 			return errors.New(args[0].(string))
@@ -129,14 +129,11 @@ func TestDynamicServantOneway(t *testing.T) {
 	}
 }
 
-func TestFloat64SliceSpanRoundTrip(t *testing.T) {
+func TestRawFloat64sRoundTrip(t *testing.T) {
 	var e Encoder
 	e.Encode("hdr") //nolint:errcheck
-	span := e.Float64SliceSpan(3)
 	want := []float64{1.5, -2.25, math.Inf(1)}
-	for i, v := range want {
-		binary.LittleEndian.PutUint64(span[8*i:], math.Float64bits(v))
-	}
+	e.Encode(want)     //nolint:errcheck
 	e.Encode(int32(9)) //nolint:errcheck
 
 	d := NewDecoder(e.Bytes())
@@ -202,6 +199,56 @@ func TestInvokeRaw(t *testing.T) {
 	}
 	var zero RawReply
 	zero.Release() // no-op
+}
+
+// TestSharedReplySplicesOverTCP checks that a reply carrying a shared
+// payload reaches the TCP coalescer as a zero-copy segment instead of
+// being flattened into the reply encoder first.
+func TestSharedReplySplicesOverTCP(t *testing.T) {
+	const n = 4096 // 32 KiB: well above the coalescer's copy cutoff
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = float64(i) * 0.5
+	}
+	oa := NewObjectAdapter()
+	oa.RegisterDynamic("bulk", func(method string, args []any, reply *Encoder) error {
+		buf := transport.NewSharedBuf(8 * n)
+		defer buf.Release()
+		for i, v := range want {
+			binary.LittleEndian.PutUint64(buf.Bytes()[8*i:], math.Float64bits(v))
+		}
+		return reply.AppendSharedFloat64s(buf)
+	})
+	l, err := transport.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(oa, l)
+	defer srv.Stop()
+	c, err := DialClient(transport.TCP{}, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	zeroCopy := func() uint64 { return obs.Default.Snapshot().Counters["transport.shared_sends_zerocopy"] }
+	before := zeroCopy()
+	res, err := c.Invoke("bulk", "get")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := res[0].([]float64)
+	if !ok || len(got) != n {
+		t.Fatalf("bulk returned %T of %d", res[0], len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("elem %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if zeroCopy() == before {
+		t.Error("shared reply payload was flattened instead of spliced")
+	}
 }
 
 func TestSupervisedInvokeRawRetriesAfterSever(t *testing.T) {

@@ -85,9 +85,10 @@ func newReply() *Encoder {
 }
 
 // stampReply writes the correlation and trace IDs into a reply frame built
-// by newReply.
+// by newReply. It writes the header in place rather than through Bytes,
+// which would flatten a shared payload the server is about to splice.
 func stampReply(e *Encoder, id, trace uint64) {
-	b := e.Bytes()
+	b := e.buf
 	binary.LittleEndian.PutUint64(b, id)
 	binary.LittleEndian.PutUint64(b[traceOffset:], trace)
 }

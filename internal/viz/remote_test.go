@@ -64,7 +64,7 @@ func TestRemoteAttachmentsConcurrent(t *testing.T) {
 	srv := orb.Serve(oa, l)
 	defer srv.Stop()
 	ports := vizCohort(array.NewBlockMap(gl, 2), global)
-	pub, err := dcoll.Publish(oa, "field", ports, dcoll.WithEpochCache())
+	pub, err := dcoll.Publish(oa, "field", ports)
 	if err != nil {
 		t.Fatal(err)
 	}
